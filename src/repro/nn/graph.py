@@ -184,31 +184,38 @@ class Graph:
     def backward(self, grad_out: np.ndarray) -> Dict[int, Params]:
         """Backprop ``grad_out`` through the last kept forward pass.
 
-        Returns parameter gradients keyed like :attr:`params`.
+        Returns parameter gradients keyed like :attr:`params`.  Only nodes
+        at or below a parameterised node are differentiated, and each op is
+        told which of its input gradients are wanted.
         """
         acts = getattr(self, "_last_activations", None)
         if acts is None:
             raise GraphError("call forward(keep_activations=True) first")
+        trainable: Dict[int, bool] = {}
+        for node in self.nodes:
+            trainable[node.node_id] = node.op.weight_params() > 0 or any(
+                trainable[i] for i in node.inputs
+            )
         grads_act: Dict[int, np.ndarray] = {self.output_id: grad_out}
         grads_param: Dict[int, Params] = {}
         for node in reversed(self.nodes):
-            if isinstance(node.op, Input) or node.node_id not in grads_act:
+            if not trainable[node.node_id] or node.node_id not in grads_act:
                 continue
             g_out = grads_act.pop(node.node_id)
             inputs = [acts[i] for i in node.inputs]
+            needs = tuple(trainable[i] for i in node.inputs)
             g_params, g_inputs = node.op.backward(
                 self.params.get(node.node_id, {}),
                 inputs,
                 acts[node.node_id],
                 g_out,
+                needs,
             )
             if g_params:
                 grads_param[node.node_id] = g_params
-            for in_id, g in zip(node.inputs, g_inputs):
-                if in_id in grads_act:
-                    grads_act[in_id] = grads_act[in_id] + g
-                else:
-                    grads_act[in_id] = g
+            for in_id, need, g in zip(node.inputs, needs, g_inputs):
+                if need:
+                    grads_act[in_id] = grads_act[in_id] + g if in_id in grads_act else g
         return grads_param
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,13 @@ class Op(abc.ABC):
         inputs: Sequence[np.ndarray],
         output: np.ndarray,
         grad_out: np.ndarray,
-    ) -> Tuple[Params, Tuple[np.ndarray, ...]]:
-        """Return (parameter gradients, input gradients)."""
+        needs: Sequence[bool],
+    ) -> Tuple[Params, Tuple[Optional[np.ndarray], ...]]:
+        """Return (parameter gradients, input gradients).
+
+        ``needs[i]`` says whether the caller uses input ``i``'s gradient;
+        an op may return ``None`` in place of one that is not needed.
+        """
         raise NotImplementedError(f"{type(self).__name__} has no backward")
 
     def flops(self, *in_shapes: Shape) -> int:
@@ -160,14 +165,15 @@ class Dense(Op):
             y = y + params["b"]
         return y
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         (x,) = inputs
         x2 = x.reshape(x.shape[0], -1)
         grads: Params = {"W": x2.T @ grad_out}
         if self.bias:
             grads["b"] = grad_out.sum(axis=0)
-        grad_x = (grad_out @ params["W"].T).reshape(x.shape)
-        return grads, (grad_x,)
+        if not needs[0]:
+            return grads, (None,)
+        return grads, ((grad_out @ params["W"].T).reshape(x.shape),)
 
     def config(self) -> dict:
         return {
@@ -184,34 +190,15 @@ def _conv_out_dim(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Lower (N,C,H,W) to (N, out_h*out_w, C*kh*kw) patches."""
-    n, c, h, w = x.shape
-    out_h = _conv_out_dim(h, kh, stride, padding)
-    out_w = _conv_out_dim(w, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    # (N, out_h, out_w, C, kh, kw) -> (N, out_h*out_w, C*kh*kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols)
+def _windows(k: int, s: int, out_h: int, out_w: int):
+    """Yield ``(i, j, index)`` per kernel offset: the strided input slice it reads."""
+    for i in range(k):
+        for j in range(k):
+            yield i, j, (Ellipsis, slice(i, i + out_h * s, s), slice(j, j + out_w * s, s))
 
 
 class Conv2D(Op):
-    """2-D convolution over ``(C, H, W)`` inputs (im2col + GEMM)."""
+    """2-D convolution over ``(C, H, W)`` inputs (channel-first im2col + BLAS GEMM)."""
 
     arity = 1
 
@@ -273,38 +260,44 @@ class Conv2D(Op):
             params["b"] = np.zeros(self.out_channels, dtype=np.float32)
         return params
 
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """Lower ``(N, C, H, W)`` to ``(N, C*k*k, out_h*out_w)`` columns."""
+        n, c = x.shape[:2]
+        k, p = self.kernel, self.padding
+        _, out_h, out_w = self.output_shape(x.shape[1:])
+        if p:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        cols = np.empty((n, c, k, k, out_h, out_w), dtype=x.dtype)
+        for i, j, win in _windows(k, self.stride, out_h, out_w):
+            cols[:, :, i, j] = x[win]
+        return cols.reshape(n, c * k * k, out_h * out_w)
+
     def forward(self, params: Params, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
-        n = x.shape[0]
         out_c, out_h, out_w = self.output_shape(x.shape[1:])
-        cols = _im2col(x, self.kernel, self.kernel, self.stride, self.padding)
-        w2 = params["W"].reshape(out_c, -1).T  # (C*kh*kw, out_c)
-        y = cols @ w2  # (N, out_h*out_w, out_c)
+        y = np.matmul(params["W"].reshape(out_c, -1), self._im2col(x))  # (N, out_c, P)
         if self.bias:
-            y = y + params["b"]
-        return y.transpose(0, 2, 1).reshape(n, out_c, out_h, out_w)
+            y += params["b"][:, None]
+        return y.reshape(x.shape[0], out_c, out_h, out_w)
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         (x,) = inputs
         n, c, h, w = x.shape
         out_c, out_h, out_w = output.shape[1:]
-        k, s, p = self.kernel, self.stride, self.padding
-        cols = _im2col(x, k, k, s, p)  # (N, P, CKK)
-        g = grad_out.reshape(n, out_c, out_h * out_w).transpose(0, 2, 1)  # (N,P,out_c)
-        grad_w = np.einsum("npk,npo->ko", cols, g).T.reshape(params["W"].shape)
-        grads: Params = {"W": grad_w}
+        k, p = self.kernel, self.padding
+        g = grad_out.reshape(n, out_c, out_h * out_w)
+        # per-sample GEMMs summed over N; a tensordot would copy the columns
+        grad_w = np.matmul(g, self._im2col(x).transpose(0, 2, 1)).sum(axis=0)
+        grads: Params = {"W": grad_w.reshape(params["W"].shape)}
         if self.bias:
-            grads["b"] = g.sum(axis=(0, 1))
-        # col2im for the input gradient
-        w2 = params["W"].reshape(out_c, -1)  # (out_c, CKK)
-        gcols = g @ w2  # (N, P, CKK)
-        gcols = gcols.reshape(n, out_h, out_w, c, k, k)
+            grads["b"] = g.sum(axis=(0, 2))
+        if not needs[0]:
+            return grads, (None,)
+        # col2im: scatter-add each offset's column gradient into the input
+        gcols = np.matmul(params["W"].reshape(out_c, -1).T, g).reshape(n, c, k, k, out_h, out_w)
         grad_x = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                grad_x[:, :, i : i + out_h * s : s, j : j + out_w * s : s] += (
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                )
+        for i, j, win in _windows(k, self.stride, out_h, out_w):
+            grad_x[win] += gcols[:, :, i, j]
         if p:
             grad_x = grad_x[:, :, p:-p, p:-p]
         return grads, (grad_x,)
@@ -348,7 +341,7 @@ class Activation(Op):
             return np.tanh(x)
         return x
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         if self.kind == "relu":
             grad = grad_out * (output > 0)
         elif self.kind == "sigmoid":
@@ -396,7 +389,7 @@ class Elementwise(Op):
             return a * b
         return np.abs(a - b)
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         a, b = inputs
         if self.kind == "add":
             return {}, (grad_out, grad_out)
@@ -434,7 +427,7 @@ class Dot(Op):
         b2 = b.reshape(b.shape[0], -1)
         return np.sum(a2 * b2, axis=1, keepdims=True)
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         a, b = inputs
         a2 = a.reshape(a.shape[0], -1)
         b2 = b.reshape(b.shape[0], -1)
@@ -459,7 +452,7 @@ class Concat(Op):
             [a.reshape(a.shape[0], -1), b.reshape(b.shape[0], -1)], axis=1
         )
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         a, b = inputs
         na = int(np.prod(a.shape[1:]))
         return {}, (
@@ -481,7 +474,7 @@ class Flatten(Op):
         (x,) = inputs
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         (x,) = inputs
         return {}, (grad_out.reshape(x.shape),)
 
@@ -551,7 +544,7 @@ class ScoreHead(Op):
         (x,) = inputs
         return self._sigmoid(self._logit(params, x))
 
-    def backward(self, params, inputs, output, grad_out):
+    def backward(self, params, inputs, output, grad_out, needs):
         local = grad_out * output * (1.0 - output)  # dL/dz
         grads: Params = {}
         if self.affine:

@@ -34,6 +34,19 @@ class TrainConfig:
     grad_clip: float = 5.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        checks = (
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("learning_rate", self.learning_rate > 0, "must be > 0"),
+            ("momentum", 0 <= self.momentum < 1, "must be in [0, 1)"),
+            ("grad_clip", self.grad_clip >= 0, "must be >= 0 (0 disables clipping)"),
+            ("weight_decay", self.weight_decay >= 0, "must be >= 0"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"TrainConfig.{name} {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class TrainReport:
@@ -110,6 +123,8 @@ class PairTrainer:
         """Train on aligned arrays; returns the loss/accuracy trajectory."""
         if not (len(queries) == len(features) == len(labels)):
             raise ValueError("queries/features/labels must be aligned")
+        if not len(queries):
+            raise ValueError("cannot fit on zero pairs")
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         n = len(queries)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import Dense, GraphBuilder, Input
 from repro.nn.graph import Graph, GraphError
+from repro.workloads import get_app
 
 
 def small_scn(seed: int = 0) -> Graph:
@@ -106,6 +107,102 @@ class TestExecution:
         g._last_activations = None
         with pytest.raises(GraphError):
             g.backward(np.ones((2, 1), dtype=np.float32))
+
+
+def unpruned_backward(graph: Graph, grad_out: np.ndarray) -> dict:
+    """Reference backprop: differentiate every node and every input."""
+    acts = graph._last_activations
+    grads_act = {graph.output_id: grad_out}
+    grads_param = {}
+    for node in reversed(graph.nodes):
+        if isinstance(node.op, Input) or node.node_id not in grads_act:
+            continue
+        g_params, g_inputs = node.op.backward(
+            graph.params.get(node.node_id, {}),
+            [acts[i] for i in node.inputs],
+            acts[node.node_id],
+            grads_act.pop(node.node_id),
+            (True,) * len(node.inputs),
+        )
+        if g_params:
+            grads_param[node.node_id] = g_params
+        for in_id, g in zip(node.inputs, g_inputs):
+            grads_act[in_id] = grads_act[in_id] + g if in_id in grads_act else g
+    return grads_param
+
+
+def spy_backward(graph: Graph) -> dict:
+    """Wrap every op's backward; record the ``needs`` and input grads per node."""
+    calls = {}
+
+    def wrap(name, inner):
+        def spy(params, inputs, output, grad_out, needs):
+            g_params, g_inputs = inner(params, inputs, output, grad_out, needs)
+            calls.setdefault(name, []).append((needs, g_inputs))
+            return g_params, g_inputs
+        return spy
+
+    for node in graph.nodes:
+        node.op.backward = wrap(node.name, node.op.backward)
+    return calls
+
+
+def assert_same_grads(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for node_id, params in want.items():
+        assert got[node_id].keys() == params.keys()
+        for key, grad in params.items():
+            np.testing.assert_array_equal(got[node_id][key], grad)
+
+
+class TestPrunedBackward:
+    def test_reid_skips_parameter_free_prefix(self, rng):
+        g = get_app("reid").build_scn(seed=0)
+        shape = g.shape_of(g.input_ids[0])
+        feeds = {i: rng.normal(0, 1, (3, *shape)).astype(np.float32) for i in g.input_ids}
+        grad_out = rng.normal(0, 1, (3, 1)).astype(np.float32)
+        g.forward(feeds, keep_activations=True)
+        want = unpruned_backward(g, grad_out)
+        calls = spy_backward(g)
+        got = g.backward(grad_out)
+        assert "cross_diff" not in calls
+        [(needs, g_inputs)] = calls["conv1"]
+        assert needs == (False,) and g_inputs == (None,)
+        [(needs, g_inputs)] = calls["conv2"]
+        assert needs == (True,) and g_inputs[0] is not None
+        assert_same_grads(got, want)
+
+    def test_gradient_flows_through_parameter_free_middle(self, rng):
+        b = GraphBuilder("middle")
+        q = b.input((5,), "qfv")
+        d = b.input((5,), "dfv")
+        hq = b.dense(q, 4, name="left")
+        hd = b.dense(d, 4, name="right")
+        h = b.elementwise(hq, hd, "mul", name="join")
+        h = b.activation(h, "tanh", name="squash")
+        h = b.dense(h, 1, name="head")
+        g = b.build(b.score_head(h, "sigmoid"), seed=3)
+        feeds = {i: rng.normal(0, 1, (4, 5)).astype(np.float32) for i in g.input_ids}
+        grad_out = rng.normal(0, 1, (4, 1)).astype(np.float32)
+        g.forward(feeds, keep_activations=True)
+        want = unpruned_backward(g, grad_out)
+        calls = spy_backward(g)
+        got = g.backward(grad_out)
+        assert calls["join"][0][0] == (True, True)
+        assert calls["left"][0][1] == (None,) and calls["right"][0][1] == (None,)
+        assert_same_grads(got, want)
+        assert all(np.any(got[nid]["W"]) for nid in (hq, hd))
+
+    def test_parameter_free_graph_calls_no_backward(self, rng):
+        b = GraphBuilder("free")
+        q = b.input((3,), "qfv")
+        d = b.input((3,), "dfv")
+        g = b.build(b.dot(q, d, name="match"))
+        feeds = {i: rng.normal(0, 1, (2, 3)).astype(np.float32) for i in g.input_ids}
+        g.forward(feeds, keep_activations=True)
+        calls = spy_backward(g)
+        assert g.backward(np.ones((2, 1), dtype=np.float32)) == {}
+        assert calls == {}
 
 
 class TestAccounting:

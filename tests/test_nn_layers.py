@@ -107,6 +107,68 @@ class TestConv2D:
             Conv2D(1, 1, kernel=9).output_shape((1, 4, 4))
 
 
+def naive_conv2d(x, w, b, stride, padding, grad_out):
+    """Float64 loop-over-output-pixels convolution with its backward."""
+    x, w, b, grad_out = (np.asarray(a, dtype=np.float64) for a in (x, w, b, grad_out))
+    k = w.shape[-1]
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x, pad)
+    out_h, out_w = grad_out.shape[2:]
+    y = np.zeros(grad_out.shape)
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for i in range(out_h):
+        for j in range(out_w):
+            rows = slice(i * stride, i * stride + k)
+            cols = slice(j * stride, j * stride + k)
+            patch = xp[:, :, rows, cols]  # (N, C, k, k)
+            g = grad_out[:, :, i, j]  # (N, O)
+            y[:, :, i, j] = np.einsum("nckl,ockl->no", patch, w) + b
+            gw += np.einsum("no,nckl->ockl", g, patch)
+            gxp[:, :, rows, cols] += np.einsum("no,ockl->nckl", g, w)
+    gx = gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    return y, gw, grad_out.sum(axis=(0, 2, 3)), gx
+
+
+class TestConv2DOracle:
+    """Forward and every backward output against a naive float64 loop."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_naive_loop(self, kernel, stride, padding):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        op = Conv2D(3, 4, kernel=kernel, stride=stride, padding=padding)
+        params = op.init_params(rng)
+        params["b"] = rng.normal(0, 1, 4).astype(np.float32)
+        x = rng.normal(0, 1, (2, 3, 7, 6)).astype(np.float32)
+        y = op.forward(params, x)
+        grad_out = rng.normal(0, 1, y.shape).astype(np.float32)
+        grads, (grad_x,) = op.backward(params, [x], y, grad_out, (True,))
+        ref_y, ref_gw, ref_gb, ref_gx = naive_conv2d(
+            x, params["W"], params["b"], stride, padding, grad_out
+        )
+        tol = {"rtol": 1e-5, "atol": 1e-5}
+        np.testing.assert_allclose(y, ref_y, **tol)
+        np.testing.assert_allclose(grads["W"], ref_gw, **tol)
+        np.testing.assert_allclose(grads["b"], ref_gb, **tol)
+        np.testing.assert_allclose(grad_x, ref_gx, **tol)
+        assert grad_x.shape == x.shape and grads["W"].shape == params["W"].shape
+
+    def test_unneeded_input_gradient_is_skipped(self):
+        rng = np.random.default_rng(7)
+        op = Conv2D(2, 3, kernel=3, stride=2, padding=1)
+        params = op.init_params(rng)
+        x = rng.normal(0, 1, (2, 2, 5, 4)).astype(np.float32)
+        y = op.forward(params, x)
+        grad_out = rng.normal(0, 1, y.shape).astype(np.float32)
+        full, _ = op.backward(params, [x], y, grad_out, (True,))
+        pruned, (grad_x,) = op.backward(params, [x], y, grad_out, (False,))
+        assert grad_x is None
+        for key in full:
+            np.testing.assert_array_equal(full[key], pruned[key])
+
+
 class TestActivation:
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "identity"])
     def test_shape_preserved(self, kind):

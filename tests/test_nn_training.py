@@ -66,6 +66,12 @@ class TestPairTrainer:
         with pytest.raises(ValueError):
             trainer.fit(q, f[:50], y)
 
+    def test_empty_inputs_rejected(self):
+        trainer = PairTrainer(tiny_scn())
+        empty = np.zeros((0, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match="zero pairs"):
+            trainer.fit(empty, empty, np.zeros(0, dtype=np.float32))
+
     def test_requires_two_inputs(self):
         b = GraphBuilder()
         x = b.input((4,))
@@ -80,6 +86,32 @@ class TestPairTrainer:
         r1 = PairTrainer(tiny_scn(1), TrainConfig(epochs=3, seed=5)).fit(q, f, y)
         r2 = PairTrainer(tiny_scn(1), TrainConfig(epochs=3, seed=5)).fit(q, f, y)
         assert r1.losses == r2.losses
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            pytest.param(field, bad, id=field)
+            for field, bad in [
+                ("batch_size", [0, -4]),
+                ("epochs", [0, -1]),
+                ("learning_rate", [0.0, -0.05]),
+                ("momentum", [-0.1, 1.0, 1.5]),
+                ("grad_clip", [-1.0]),
+                ("weight_decay", [-1e-4]),
+            ]
+        ],
+    )
+    def test_invalid_value_names_field(self, field, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=f"TrainConfig.{field} "):
+                TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = TrainConfig(batch_size=1, epochs=1, momentum=0.0, grad_clip=0.0,
+                          weight_decay=0.0)
+        assert cfg.grad_clip == 0.0
 
 
 class TestSerialization:
