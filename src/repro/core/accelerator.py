@@ -21,14 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracer import Tracer
 
 from repro.core.placement import AcceleratorPlacement
-from repro.core.topk import TopKSorter
 from repro.energy import EnergyBreakdown, EnergyModel
 from repro.nn.graph import Graph
 from repro.sim import BoundedQueue, Simulator, fastpath
 from repro.ssd.controller import ChannelController
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.timing import SsdConfig
-from repro.ssd.trace import scan_trace, scan_trace_bulk
+from repro.ssd.trace import scan_trace
 from repro.systolic import GraphMapper, GraphProfile
 
 
@@ -115,27 +114,21 @@ class InStorageAccelerator:
     @property
     def profile(self) -> GraphProfile:
         if self._profile is None:
-            if fastpath.enabled():
-                # the mapping is a pure function of (graph, placement,
-                # ssd); serving sweeps and cluster fleets build one
-                # accelerator per leg over the same few graphs, so the
-                # memoized table turns the N-th mapping into a lookup
-                self._profile = fastpath.profile_table(
-                    self.graph,
-                    (self.placement, self.ssd, self._stream_window),
-                    lambda: self._mapper.map_graph(self.graph),
-                )
-            else:
-                self._profile = self._mapper.map_graph(self.graph)
+            # the mapping is a pure function of (graph, placement,
+            # ssd); serving sweeps and cluster fleets build one
+            # accelerator per leg over the same few graphs, so the
+            # memoized table turns the N-th mapping into a lookup
+            self._profile = fastpath.profile_table(
+                self.graph,
+                (self.placement, self.ssd, self._stream_window),
+                lambda: self._mapper.map_graph(self.graph),
+            )
         return self._profile
 
     def topk_seconds_per_feature(self, stripe_features: int) -> float:
         """Controller top-K maintenance cost per candidate."""
         n_candidates = max(self.k, stripe_features)
-        if fastpath.enabled():
-            cycles = fastpath.expected_topk_cycles(self.k, n_candidates)
-        else:
-            cycles = TopKSorter(self.k).expected_cycles_per_update(n_candidates)
+        cycles = fastpath.expected_topk_cycles(self.k, n_candidates)
         return cycles / self.placement.systolic.frequency_hz
 
     def compute_seconds_per_feature(self, stripe_features: int = 1_000_000) -> float:
@@ -205,16 +198,9 @@ class InStorageAccelerator:
             else None
         )
         queue = BoundedQueue(sim, queue_depth, name="FLASH_DFV")
-        if fastpath.enabled():
-            trace = scan_trace_bulk(
-                meta, self.ssd.geometry, channel=channel, max_pages=max_pages
-            )
-        else:
-            trace = list(
-                scan_trace(
-                    meta, self.ssd.geometry, channel=channel, max_pages=max_pages
-                )
-            )
+        trace = scan_trace(
+            meta, self.ssd.geometry, channel=channel, max_pages=max_pages
+        )
         if not trace:
             return StripeScanResult(0.0, 0, 0.0)
 

@@ -25,8 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim import fastpath
-
 
 @dataclass
 class EmbeddingComparator:
@@ -148,20 +146,20 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        # Fast-path lookup matrix: row i holds the float64 QFV of the
-        # i-th entry in dict order, with its norm alongside, so a lookup
+        # Lookup matrix: row i holds the float64 QFV of the i-th entry
+        # in dict order, with its norm alongside, so an untagged lookup
         # is one matrix-vector product instead of stack+convert+norm
-        # over every entry.  Maintained unconditionally (mutations are
-        # rare next to lookups); consulted only when the fast path is
-        # on.  Same floats, same contiguous layout as a fresh
-        # ``np.stack(...).astype(float64)``, so scores are bit-equal.
+        # over every entry.  Maintained on every mutation (mutations
+        # are rare next to lookups).  Same floats, same contiguous
+        # layout as a fresh ``np.stack(...).astype(float64)``, so
+        # scores are bit-equal to stacking the entries per lookup.
         self._fm: Optional[np.ndarray] = None
         self._fnorm: Optional[np.ndarray] = None
         self._fm_dim = 0
         #: cleared on a dimension mismatch — heterogeneous QFVs fall
         #: back to the stacking path forever (never happens in practice)
         self._fm_ok = True
-        #: entry keys in dict order, so the fast lookup path never has
+        #: entry keys in dict order, so the matrix lookup path never has
         #: to materialize ``list(self._entries.keys())`` per lookup
         self._keys: List[int] = []
 
@@ -249,12 +247,7 @@ class QueryCache:
         issued after it.  ``tag=None`` scans every entry (the static,
         pre-ingest behaviour).
         """
-        use_matrix = (
-            tag is None
-            and self._fm is not None
-            and self._fm_ok
-            and fastpath.enabled()
-        )
+        use_matrix = tag is None and self._fm is not None and self._fm_ok
         if tag is None:
             keys = self._keys if use_matrix else list(self._entries.keys())
         else:

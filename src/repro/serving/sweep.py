@@ -16,7 +16,6 @@ without hand tuning.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -24,30 +23,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.server import QueryServer, ServingConfig, ServingResult
-from repro.sim import fastpath, forkmap
+from repro.sim import forkmap
 from repro.workloads.queries import QueryStream
 
 #: default sweep ladder, as fractions of saturation throughput —
 #: three points below the knee, one at it, two past it
 DEFAULT_LOAD_FRACTIONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-
-#: worker count for the fork-parallel sweep: unset ⇒ CPU count,
-#: ``0``/``1`` ⇒ sequential
-ENV_PARALLEL = "REPRO_PARALLEL_SWEEP"
-
-
-def _sweep_workers(n_points: int) -> int:
-    """Concurrent sweep workers (capped at the point count)."""
-    raw = os.environ.get(ENV_PARALLEL, "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 1
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_points))
-
 
 @dataclass
 class ServingCurve:
@@ -127,24 +108,19 @@ def sweep_offered_load(
     if not qps_points:
         raise ValueError("empty qps sweep")
     curve = ServingCurve(app=config.app, saturation_qps=saturation)
-    workers = (
-        _sweep_workers(len(qps_points))
-        if (
-            fastpath.enabled()
-            and metrics is None
-            and tracer is None
-            and forkmap.available()
-        )
-        else 1
-    )
-    if workers > 1:
+    if (
+        metrics is None
+        and tracer is None
+        and forkmap.pool_size(len(qps_points)) > 1
+    ):
         # every point is a pure function of (config, n_queries, qps,
         # seed, stream): arrivals are rebuilt from the seed, and each
         # forked child inherits a copy-on-write clone of the pristine
         # never-run server (empty cache, deterministic cost model) —
         # exactly what the sequential loop's per-point rebuild
         # produces.  Results come back in point order, bit-identical;
-        # only host wall-clock differs.
+        # only host wall-clock differs.  Without a pool to fork into,
+        # the loop below rebuilds the server itself.
         def run_point(i: int) -> ServingResult:
             return server.run(
                 poisson_arrivals(
@@ -156,9 +132,7 @@ def sweep_offered_load(
                 )
             )
 
-        curve.points.extend(
-            forkmap.fork_map(run_point, len(qps_points), workers)
-        )
+        curve.points.extend(forkmap.fork_map(run_point, len(qps_points)))
         return curve
     for i, qps in enumerate(qps_points):
         if config.cache_entries > 0:

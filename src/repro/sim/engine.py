@@ -4,17 +4,13 @@ A :class:`Simulator` owns a priority queue of :class:`Event` records and a
 monotonically advancing clock.  Time is a float in **seconds**; all SSD and
 accelerator models convert cycles/latencies to seconds before scheduling.
 
-Two heap representations back the queue.  The classic one stores
-:class:`Event` dataclasses directly and orders them via the generated
-``(time, seq)`` comparison — simple, but every sift comparison runs
-python-level ``__lt__``.  The **array-backed fast path** (see
-:mod:`repro.sim.fastpath`) stores plain ``(time, seq, event)`` tuples so
-heap sifts compare in C, adds :meth:`Simulator.schedule_bulk` for
-homogeneous event batches, and drains via an inlined run loop.  Both
-representations order events by exactly the same ``(time, seq)`` key and
-share the cancellation/compaction accounting, so every simulation is
-bit-identical under either — the differential and oracle suites in
-``tests/test_sim_fastpath.py`` enforce it.
+The heap stores plain ``(time, seq, event)`` tuples, so sifts compare
+the leading float/int in C and never reach python-level ``__lt__``;
+:meth:`Simulator.schedule_bulk` adds homogeneous batches with one
+heapify, and :meth:`Simulator.run` drains through a single inlined
+loop.  ``tests/test_sim_fastpath.py`` checks fire order, clock and the
+cancellation/compaction counters against a plain :class:`Event`-heap
+reference scheduler kept in ``tests/reference_impls.py``.
 """
 
 from __future__ import annotations
@@ -22,9 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
-
-from repro.sim import fastpath  # no cycle: fastpath imports nothing from sim
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
@@ -74,7 +68,7 @@ class Event:
             sim._note_cancelled()
 
 
-#: one array-backed heap entry: (time, seq, event) — ordering compares
+#: one heap entry: (time, seq, event) — ordering compares
 #: the leading floats/ints in C and never reaches the event (seq is
 #: unique), which is the entire point of the representation
 HeapEntry = Tuple[float, int, "Event"]
@@ -98,15 +92,8 @@ class Simulator:
     #: cheap to scan lazily and not worth a rebuild
     COMPACT_MIN_HEAP = 8
 
-    def __init__(
-        self,
-        tracer: Optional["Tracer"] = None,
-        fast: Optional[bool] = None,
-    ) -> None:
-        #: ``fast=None`` defers to the global fastpath switch; both
-        #: representations dispatch events in identical (time, seq) order
-        self._fast = fastpath.enabled() if fast is None else fast
-        self._heap: List[Union[Event, HeapEntry]] = []
+    def __init__(self, tracer: Optional["Tracer"] = None) -> None:
+        self._heap: List[HeapEntry] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._events_processed = 0
@@ -164,18 +151,11 @@ class Simulator:
             len(self._heap) > self.COMPACT_MIN_HEAP
             and self._cancelled_pending * 2 > len(self._heap)
         ):
-            # in-place slice assignment: the fast drain loop holds a
+            # in-place slice assignment: the drain loop holds a
             # reference to this exact list across callbacks
-            if self._fast:
-                self._heap[:] = [
-                    entry for entry in self._heap
-                    if not entry[2].cancelled  # type: ignore[index]
-                ]
-            else:
-                self._heap[:] = [
-                    e for e in self._heap
-                    if not e.cancelled  # type: ignore[union-attr]
-                ]
+            self._heap[:] = [
+                entry for entry in self._heap if not entry[2].cancelled
+            ]
             heapq.heapify(self._heap)
             self._cancelled_pending = 0
             self._compactions += 1
@@ -192,10 +172,7 @@ class Simulator:
             time=time, seq=next(self._counter), callback=callback,
             label=label, sim=self,
         )
-        if self._fast:
-            heapq.heappush(self._heap, (time, event.seq, event))
-        else:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def schedule_bulk(
@@ -207,8 +184,8 @@ class Simulator:
         """Schedule a homogeneous batch; identical to N :meth:`schedule` calls.
 
         Events get consecutive sequence numbers in input order, so ties
-        resolve exactly as the equivalent loop would.  On the fast path a
-        batch landing in an empty heap skips per-event sifting: an
+        resolve exactly as the equivalent loop would.  A batch landing
+        in an empty heap skips per-event sifting: an
         already-sorted batch (e.g. an arrival schedule) *is* a valid
         heap, and an unsorted one needs one O(n) heapify instead of n
         O(log n) pushes.
@@ -226,21 +203,17 @@ class Simulator:
                   label=label, sim=self)
             for time, callback in zip(times, callbacks)
         ]
-        if self._fast:
-            entries: List[HeapEntry] = [
-                (event.time, event.seq, event) for event in events
-            ]
-            was_empty = not self._heap
-            # extend in place: the fast drain loop aliases this list
-            self._heap.extend(entries)
-            if not was_empty or any(
-                entries[i][0] > entries[i + 1][0]
-                for i in range(len(entries) - 1)
-            ):
-                heapq.heapify(self._heap)
-        else:
-            for event in events:
-                heapq.heappush(self._heap, event)
+        entries: List[HeapEntry] = [
+            (event.time, event.seq, event) for event in events
+        ]
+        was_empty = not self._heap
+        # extend in place: the drain loop aliases this list
+        self._heap.extend(entries)
+        if not was_empty or any(
+            entries[i][0] > entries[i + 1][0]
+            for i in range(len(entries) - 1)
+        ):
+            heapq.heapify(self._heap)
         return events
 
     def schedule_after(
@@ -254,15 +227,10 @@ class Simulator:
     def _head(self) -> Optional[Event]:
         """Event at the heap head with cancelled corpses drained."""
         heap = self._heap
-        if self._fast:
-            while heap and heap[0][2].cancelled:  # type: ignore[index]
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
-            return heap[0][2] if heap else None  # type: ignore[index]
-        while heap and heap[0].cancelled:  # type: ignore[union-attr]
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._cancelled_pending -= 1
-        return heap[0] if heap else None  # type: ignore[return-value]
+        return heap[0][2] if heap else None
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
@@ -271,35 +239,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when none remain."""
-        while self._heap:
-            popped = heapq.heappop(self._heap)
-            event: Event = popped[2] if self._fast else popped  # type: ignore[assignment, index]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            if self.tracer is not None:
-                # one `sim.event` instant per dispatched callback: the
-                # exported trace reconciles this count against
-                # `events_processed` exactly
-                self.tracer.instant(
-                    self._event_track,
-                    event.label or "event",
-                    event.time,
-                    cat="sim.event",
-                )
-            # the event left the heap: a late cancel() must not skew
-            # the cancelled-pending accounting
-            event.sim = None
-            callback = event.callback
-            # release the closure before running it — callers holding
-            # the Event handle (hedging keeps completion events around
-            # to cancel losers) must not pin the payload it closes over
-            event.callback = _released_callback
-            callback()
-            return True
-        return False
+        return self._drain(None, 1, None) > 0
 
     def run(
         self,
@@ -313,64 +253,59 @@ class Simulator:
         ``stop_when`` is checked after every event; it allows callers to
         stop a steady-state window simulation once enough work finished.
         """
-        if self._fast and self.tracer is None:
-            self._run_fast(until, max_events, stop_when)
-            return
-        executed = 0
-        while True:
-            next_time = self.peek()
-            if next_time is None:
-                return
-            if until is not None and next_time > until:
-                self._now = until
-                return
-            self.step()
-            executed += 1
-            if stop_when is not None and stop_when():
-                return
-            if max_events is not None and executed >= max_events:
-                return
+        self._drain(until, max_events, stop_when)
 
-    def _run_fast(
+    def _drain(
         self,
         until: Optional[float],
         max_events: Optional[int],
         stop_when: Optional[Callable[[], bool]],
-    ) -> None:
-        """Inlined drain loop over (time, seq, event) heap entries.
+    ) -> int:
+        """The one dispatch loop; returns the number of events executed.
 
-        Dispatch order, clock updates, and cancellation accounting are
-        exactly :meth:`peek` + :meth:`step`; the win is skipping two
-        method calls and re-validations per event, which at hundreds of
-        thousands of flash-page events per scan is the difference
-        between the heap loop and the model dominating the profile.
+        Cancelled corpses at the head are popped and uncounted; a live
+        head past ``until`` parks the clock at ``until``.  With a tracer
+        attached, each dispatch also records one ``sim.event`` instant,
+        so the exported trace reconciles against ``events_processed``
+        exactly.  Inlining the pop, clock update and release protocol
+        here (rather than looping over ``peek``/``step``) matters at
+        hundreds of thousands of flash-page events per scan.
         """
         heap = self._heap
         pop = heapq.heappop
+        tracer = self.tracer
         executed = 0
         while heap:
             entry = heap[0]
-            event: Event = entry[2]  # type: ignore[index]
+            event = entry[2]
             if event.cancelled:
                 pop(heap)
                 self._cancelled_pending -= 1
                 continue
-            time: float = entry[0]  # type: ignore[index]
+            time = entry[0]
             if until is not None and time > until:
                 self._now = until
-                return
+                break
             pop(heap)
             self._now = time
             self._events_processed += 1
-            # identical release protocol to step(): the heap no longer
-            # owns the event, late cancels must not skew accounting, and
-            # the closure must not outlive its dispatch
+            if tracer is not None:
+                tracer.instant(
+                    self._event_track, event.label or "event", time,
+                    cat="sim.event",
+                )
+            # the event left the heap: a late cancel() must not skew the
+            # cancelled-pending accounting, and the closure is released
+            # before it runs — callers holding the Event handle (hedging
+            # keeps completion events around to cancel losers) must not
+            # pin the payload it closes over
             event.sim = None
             callback = event.callback
             event.callback = _released_callback
             callback()
             executed += 1
             if stop_when is not None and stop_when():
-                return
+                break
             if max_events is not None and executed >= max_events:
-                return
+                break
+        return executed

@@ -1,12 +1,10 @@
 """Bounded fork-map: run pure index-functions in child processes.
 
-The wall-clock fast path has two embarrassingly parallel loops — the
-cluster scatter legs (:mod:`repro.cluster.parallel`) and the serving
-offered-load sweep (:mod:`repro.serving.sweep`).  Both share the same
-execution shape: every item is a pure function of its index, results
-must come back in index order, and the work closes over live objects
-(devices, servers) that only ``fork`` can ship to a worker.  This
-module is that shape, factored out.
+The serving offered-load sweep (:mod:`repro.serving.sweep`) is
+embarrassingly parallel: every point is a pure function of its index,
+results must come back in index order, and the work closes over live
+objects (servers) that only ``fork`` can ship to a worker.  This
+module is that execution shape, factored out.
 
 ``fork_map(fn, n, processes)`` returns ``[fn(0), ..., fn(n-1)]``
 computed by up to ``processes`` forked children at a time.  Each child
@@ -32,6 +30,17 @@ from typing import Any, Callable, List, Optional, Tuple
 def available() -> bool:
     """Whether fork-based parallelism exists on this platform."""
     return hasattr(os, "fork")
+
+
+def pool_size(n: int, processes: Optional[int] = None) -> int:
+    """Children :func:`fork_map` runs at once for ``n`` items.
+
+    ``processes=None`` means the CPU count; the result is capped at
+    ``n`` and is 1 — the plain sequential loop — without ``fork``.
+    """
+    workers = (os.cpu_count() or 1) if processes is None else processes
+    workers = max(1, min(workers, n))
+    return workers if available() else 1
 
 
 def _fork_item(fn: Callable[[int], Any], index: int) -> Tuple[int, int]:
@@ -76,9 +85,8 @@ def fork_map(
     """
     if n < 0:
         raise ValueError("n cannot be negative")
-    workers = os.cpu_count() or 1 if processes is None else processes
-    workers = max(1, min(workers, n))
-    if workers <= 1 or not available():
+    workers = pool_size(n, processes)
+    if workers <= 1:
         return [fn(i) for i in range(n)]
     results: List[Any] = [None] * n
     inflight: List[Tuple[int, int, int]] = []  # (index, pid, read_fd)

@@ -6,13 +6,15 @@ feature vectors, and SSD-Sim replays them to produce I/O timing.  We keep
 the same interface: :func:`scan_trace` turns database metadata into the
 ordered page accesses of a full scan, optionally restricted to one
 channel's stripe (each channel-level accelerator scans only the pages that
-live on its channel).
+live on its channel).  Addresses are decoded with numpy, array-at-a-time;
+``tests/test_sim_fastpath.py`` checks the result against the
+page-at-a-time reference generator in ``tests/reference_impls.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,37 +29,6 @@ class PageAccess:
     ppn: int
     address: PhysicalPageAddress
     db_page_offset: int
-
-
-def scan_trace(
-    meta: DatabaseMetadata,
-    geometry: SsdGeometry,
-    channel: Optional[int] = None,
-    start_page: int = 0,
-    max_pages: Optional[int] = None,
-) -> Iterator[PageAccess]:
-    """Yield the page accesses of a sequential database scan.
-
-    With ``channel`` set, only pages stored on that channel are yielded —
-    the stripe a single channel-level (or chip-level, further filtered by
-    the caller) accelerator consumes.  ``start_page``/``max_pages`` select
-    a window, which the steady-state simulation mode uses.
-    """
-    if channel is not None and not 0 <= channel < geometry.channels:
-        raise ValueError(f"channel {channel} out of range")
-    if max_pages is not None and max_pages <= 0:
-        return
-    emitted = 0
-    for offset, ppn in enumerate(meta.all_ppns()):
-        if offset < start_page:
-            continue
-        address = geometry.ppn_to_address(ppn)
-        if channel is not None and address.channel != channel:
-            continue
-        yield PageAccess(ppn=ppn, address=address, db_page_offset=offset)
-        emitted += 1
-        if max_pages is not None and emitted >= max_pages:
-            return
 
 
 def _scan_ppn_array(meta: DatabaseMetadata) -> "np.ndarray":
@@ -88,8 +59,8 @@ def _decode_accesses(
     """Vectorized :meth:`SsdGeometry.ppn_to_address` over an array.
 
     One modulo/divide per field over the whole array replaces one
-    python-level decode per page; the resulting :class:`PageAccess`
-    objects are field-for-field equal to the generator's.
+    python-level decode per page; every :class:`PageAccess` carries
+    exactly the address the scalar decode would give.
     """
     if ppns.size == 0:
         return []
@@ -119,27 +90,43 @@ def _decode_accesses(
     ]
 
 
-def scan_trace_bulk(
+def _check_cap(name: str, cap: Optional[int]) -> None:
+    """Reject a negative page cap; ``None`` means uncapped, 0 no pages."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"{name} must be >= 0 or None, got {cap}")
+
+
+def _scan_window(
+    meta: DatabaseMetadata, start_page: int
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """``(ppns, db_page_offsets)`` of the scan from ``start_page`` on."""
+    ppns = _scan_ppn_array(meta)
+    offsets = np.arange(ppns.size, dtype=np.int64)
+    if start_page > 0:
+        ppns = ppns[start_page:]
+        offsets = offsets[start_page:]
+    return ppns, offsets
+
+
+def scan_trace(
     meta: DatabaseMetadata,
     geometry: SsdGeometry,
     channel: Optional[int] = None,
     start_page: int = 0,
     max_pages: Optional[int] = None,
 ) -> List[PageAccess]:
-    """Materialized :func:`scan_trace`, computed with numpy.
+    """The page accesses of a sequential database scan, in scan order.
 
-    Produces exactly ``list(scan_trace(...))`` — same pages, same order,
-    same field values — but decodes addresses array-at-a-time instead of
-    page-at-a-time.  The property suite in ``tests/test_sim_fastpath.py``
-    asserts the equivalence for arbitrary extents/windows/channels.
+    With ``channel`` set, only pages stored on that channel are returned
+    — the stripe a single channel-level (or chip-level, further filtered
+    by the caller) accelerator consumes.  ``start_page``/``max_pages``
+    select a window, which the steady-state simulation mode uses;
+    ``max_pages=0`` selects no pages and a negative cap is rejected.
     """
     if channel is not None and not 0 <= channel < geometry.channels:
         raise ValueError(f"channel {channel} out of range")
-    ppns = _scan_ppn_array(meta)
-    offsets = np.arange(ppns.size, dtype=np.int64)
-    if start_page > 0:
-        ppns = ppns[start_page:]
-        offsets = offsets[start_page:]
+    _check_cap("max_pages", max_pages)
+    ppns, offsets = _scan_window(meta, start_page)
     if channel is not None:
         mask = ppns % geometry.channels == channel
         ppns = ppns[mask]
@@ -158,18 +145,17 @@ def scan_traces_by_channel(
 ) -> Dict[int, List[PageAccess]]:
     """All per-channel stripe traces from **one** pass over the scan.
 
-    Equivalent to ``{ch: list(scan_trace(meta, geo, channel=ch, ...))
+    Equivalent to ``{ch: scan_trace(meta, geo, channel=ch, ...)
     for ch in range(geo.channels)}`` — which re-enumerates and re-decodes
     the entire database once *per channel*.  The channel-level event
     simulation needs every stripe anyway, so a single enumeration plus a
     group-by on ``ppn % channels`` does the same work ``channels``×
     cheaper; this was ~80% of event-query wall time before.
+    ``max_pages_per_channel=0`` gives empty stripes and a negative cap
+    is rejected.
     """
-    ppns = _scan_ppn_array(meta)
-    offsets = np.arange(ppns.size, dtype=np.int64)
-    if start_page > 0:
-        ppns = ppns[start_page:]
-        offsets = offsets[start_page:]
+    _check_cap("max_pages_per_channel", max_pages_per_channel)
+    ppns, offsets = _scan_window(meta, start_page)
     traces: Dict[int, List[PageAccess]] = {}
     channels = ppns % geometry.channels if ppns.size else ppns
     for ch in range(geometry.channels):

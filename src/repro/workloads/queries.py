@@ -18,8 +18,6 @@ from typing import Iterator, List
 
 import numpy as np
 
-from repro.sim import fastpath
-
 
 class ZipfSampler:
     """Bounded Zipf(alpha) over ranks ``0..n-1`` (rank 0 most popular)."""
@@ -106,10 +104,10 @@ class QueryStream:
         else:
             intents = rng.integers(0, self.n_intents, n_queries)
         centroids = self.centroids()
-        if not self.noise_spread and fastpath.enabled():
+        if not self.noise_spread:
             # one batched draw: Generator.normal fills an (n, dim)
             # array from the same variate stream as n sequential
-            # (dim,) draws, so every row is bit-equal to the loop below
+            # (dim,) draws, so every row is bit-equal to a per-query loop
             noise = rng.normal(0.0, self.paraphrase_noise, (n_queries, self.dim))
             qfvs = (centroids[intents] + noise).astype(np.float32)
             for i in range(n_queries):
@@ -117,11 +115,13 @@ class QueryStream:
                     qfv=qfvs[i], intent=int(intents[i]), sequence=i
                 )
             return
+        # a per-query sigma interleaves a uniform draw with each normal
+        # draw, so a spread stream is generated row by row
         for i in range(n_queries):
             intent = int(intents[i])
-            sigma = self.paraphrase_noise
-            if self.noise_spread:
-                sigma *= rng.uniform(1 - self.noise_spread, 1 + self.noise_spread)
+            sigma = self.paraphrase_noise * rng.uniform(
+                1 - self.noise_spread, 1 + self.noise_spread
+            )
             noise = rng.normal(0.0, sigma, self.dim)
             qfv = (centroids[intent] + noise).astype(np.float32)
             yield QueryRecord(qfv=qfv, intent=intent, sequence=i)

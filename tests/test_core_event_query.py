@@ -58,6 +58,11 @@ class TestEventQuerySimulator:
             times[latency] = result.scan_seconds
         assert times[212e-6] / times[53e-6] < 1.35
 
+    def test_negative_page_cap_rejected(self, small_db):
+        app, meta = small_db
+        with pytest.raises(ValueError, match="max_pages_per_channel"):
+            EventQuerySimulator().run(app, meta, max_pages_per_channel=-1)
+
     def test_rejects_other_levels(self):
         with pytest.raises(ValueError):
             EventQuerySimulator(placement=SSD_LEVEL)

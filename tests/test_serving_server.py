@@ -9,6 +9,7 @@ from repro.serving import (
     poisson_arrivals,
     sweep_offered_load,
 )
+from repro.sim import forkmap
 from repro.workloads import QueryStream
 
 FEATURES = 50_000   # small database: fast scans, fast tests
@@ -42,6 +43,19 @@ class TestDeterminism:
         a = sweep_offered_load(small_config(), **kw)
         b = sweep_offered_load(small_config(), **kw)
         assert a.as_dict() == b.as_dict()
+
+    def test_forked_sweep_equals_sequential_loop(self, monkeypatch):
+        """Forked points == the sequential loop's per-point rebuild."""
+        stream = QueryStream(dim=32, n_intents=10, distribution="zipf",
+                             alpha=0.9, paraphrase_noise=0.05, seed=2)
+        kw = dict(n_queries=60, seed=3, stream=stream,
+                  load_fractions=(0.5, 1.0, 1.5))
+        config = small_config(cache_entries=32)
+        forked = sweep_offered_load(config, **kw)
+        monkeypatch.setattr(forkmap, "available", lambda: False)
+        assert forkmap.pool_size(3) == 1
+        sequential = sweep_offered_load(config, **kw)
+        assert forked.as_dict() == sequential.as_dict()
 
 
 class TestConservation:
