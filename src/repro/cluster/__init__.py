@@ -48,6 +48,7 @@ from repro.cluster.placement import (
     locality_placement,
     make_placement,
     range_placement,
+    shard_sizes,
 )
 from repro.cluster.retry import RetryLadder, RetryPolicy
 from repro.cluster.scatter import (
@@ -98,4 +99,5 @@ __all__ = [
     "normalize_fail_shards",
     "range_placement",
     "run_scatter",
+    "shard_sizes",
 ]

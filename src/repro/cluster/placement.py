@@ -90,34 +90,23 @@ def _owners_from_assignment(
     )
 
 
-def range_placement(n_features: int, n_shards: int) -> ShardPlacement:
-    """Contiguous slices, sized to within one feature of each other."""
+def _range_cuts(n_features: int, n_shards: int) -> np.ndarray:
+    """The ``n_shards + 1`` slice boundaries of the range layout."""
     if n_features < 0:
         raise ValueError("n_features cannot be negative")
     if n_shards <= 0:
         raise ValueError("n_shards must be positive")
-    cuts = np.linspace(0, n_features, n_shards + 1).astype(np.int64)
+    return np.linspace(0, n_features, n_shards + 1).astype(np.int64)
+
+
+def range_placement(n_features: int, n_shards: int) -> ShardPlacement:
+    """Contiguous slices, sized to within one feature of each other."""
+    cuts = _range_cuts(n_features, n_shards)
     owners = tuple(
         np.arange(cuts[s], cuts[s + 1], dtype=np.int64)
         for s in range(n_shards)
     )
     return ShardPlacement("range", n_features, owners)
-
-
-def range_shard_sizes(n_features: int, n_shards: int) -> List[int]:
-    """Per-shard feature counts of :func:`range_placement`, sizes only.
-
-    Exactly ``[len(ids) for ids in range_placement(...).owners]`` — same
-    linspace cuts — without materializing the id arrays.  The analytic
-    cluster model needs only the counts, and at tens of millions of
-    features per estimate the aranges are the dominant allocation.
-    """
-    if n_features < 0:
-        raise ValueError("n_features cannot be negative")
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    cuts = np.linspace(0, n_features, n_shards + 1).astype(np.int64)
-    return [int(cuts[s + 1] - cuts[s]) for s in range(n_shards)]
 
 
 def hash_placement(
@@ -206,3 +195,27 @@ def make_placement(
             n_features, n_shards, features=features, seed=seed
         )
     raise ValueError(f"unknown placement strategy {strategy!r}")
+
+
+def shard_sizes(
+    strategy: str,
+    n_features: int,
+    n_shards: int,
+    features: Optional[np.ndarray] = None,
+    seed: int = 0,
+) -> List[int]:
+    """Per-shard feature counts of :func:`make_placement`, sizes only.
+
+    Exactly ``[len(ids) for ids in make_placement(...).owners]``.  The
+    cost models price a shard by its size alone, so ``range`` takes the
+    counts straight off its linspace cuts instead of materializing one
+    arange of ids per shard (256 MB per model at 32M features); the
+    other strategies build the placement and read its lengths.
+    """
+    if strategy != "range":
+        placement = make_placement(
+            strategy, n_features, n_shards, features=features, seed=seed
+        )
+        return [len(ids) for ids in placement.owners]
+    cuts = _range_cuts(n_features, n_shards)
+    return [int(cuts[s + 1] - cuts[s]) for s in range(n_shards)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig, ClusterError
-from repro.cluster.placement import make_placement
+from repro.cluster.placement import shard_sizes
 from repro.core.deepstore import DeepStoreSystem
 from repro.core.engine import DispatchPolicy
 from repro.serving.batcher import BatchCostModel, BatchPolicy
@@ -55,11 +55,10 @@ class ClusterBatchCostModel:
         self.system = system or DeepStoreSystem.at_level(self.cluster.level)
         self.policy = policy or BatchPolicy()
         cfg = self.cluster
-        placement = make_placement(
+        sizes = shard_sizes(
             cfg.placement, meta.feature_count, cfg.n_shards, seed=cfg.seed
         )
-        self.placement = placement
-        shards = placement.non_empty_shards()
+        shards = [s for s, size in enumerate(sizes) if size > 0]
         if not shards:
             raise ClusterError("cluster database has no populated shard")
         self.n_contacted = len(shards)
@@ -72,7 +71,7 @@ class ClusterBatchCostModel:
         #: per-leg (straggle factor, failover ladder seconds, table)
         self._legs: List[Tuple[float, float, BatchCostModel]] = []
         for shard in shards:
-            size = len(placement.owners[shard])
+            size = sizes[shard]
             table = tables.get(size)
             if table is None:
                 shard_meta = DatabaseMetadata(
@@ -122,7 +121,18 @@ class ClusterBatchCostModel:
             )
         self.gather_s = cfg.costs.gather_seconds(merge_comparisons)
         # a result DMA happens per shard leg inside the device table
-        # already; the coordinator adds only its own serial costs
+        # already; the coordinator adds only its own serial costs.
+        # Every batch of one size costs the same, so price each size
+        # once here rather than re-running the barrier per batch.
+        self._table: List[float] = [
+            self.scatter_s
+            + max(
+                ladder + slow * table.service_seconds(n)
+                for slow, ladder, table in self._legs
+            )
+            + self.gather_s
+            for n in range(1, self.max_batch + 1)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -135,17 +145,13 @@ class ClusterBatchCostModel:
             raise ValueError(
                 f"batch_size {batch_size} outside 1..{self.max_batch}"
             )
-        barrier = max(
-            ladder + slow * table.service_seconds(batch_size)
-            for slow, ladder, table in self._legs
-        )
-        return self.scatter_s + barrier + self.gather_s
+        return self._table[batch_size - 1]
 
     def best_batch(self) -> Tuple[int, float]:
         """Batch size with the highest cluster queries-per-second."""
-        best_n, best_qps = 1, 1.0 / self.service_seconds(1)
+        best_n, best_qps = 1, 1.0 / self._table[0]
         for n in range(2, self.max_batch + 1):
-            qps = n / self.service_seconds(n)
+            qps = n / self._table[n - 1]
             if qps > best_qps:
                 best_n, best_qps = n, qps
         return best_n, best_qps

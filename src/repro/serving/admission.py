@@ -134,19 +134,23 @@ class AdmissionQueue:
         """Deadline policy: lazily drop over-age queries (any position)."""
         if self.policy != "deadline":
             return
-        assert self.deadline_s is not None
+        deadline = self.deadline_s
+        assert deadline is not None
         for queue in self._classes.values():
-            survivors = deque(
-                q for q in queue if now - q.arrival_s <= self.deadline_s
-            )
-            if len(survivors) != len(queue):
-                for q in queue:
-                    if now - q.arrival_s > self.deadline_s:
-                        self.counters.expired += 1
-                        self._shed_log.append((q, "expired"))
-                self._depth -= len(queue) - len(survivors)
-                queue.clear()
-                queue.extend(survivors)
+            # arrival times need not be monotone within a class, so
+            # look at every query, but rebuild only when one expired
+            if all(now - q.arrival_s <= deadline for q in queue):
+                continue
+            survivors: Deque[QueuedQuery] = deque()
+            for q in queue:
+                if now - q.arrival_s > deadline:
+                    self.counters.expired += 1
+                    self._shed_log.append((q, "expired"))
+                else:
+                    survivors.append(q)
+            self._depth -= len(queue) - len(survivors)
+            queue.clear()
+            queue.extend(survivors)
 
     def _evict_for(self, newcomer: QueuedQuery) -> bool:
         """``drop-oldest``: shed the oldest query of the least-important

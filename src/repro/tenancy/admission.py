@@ -83,6 +83,11 @@ class WeightedFairQueue:
             t.name: AdmissionQueue(t.bound, t.policy, t.deadline_s)
             for t in tenants
         }
+        #: the only queues that can expire queries, hence the only ones
+        #: a pre-dispatch deadline sweep needs to visit
+        self._deadline_queues: List[AdmissionQueue] = [
+            q for q in self._queues.values() if q.policy == "deadline"
+        ]
         self._deficit: Dict[str, float] = {name: 0.0 for name in names}
         self._cursor = 0
         # True while the cursor's tenant has already been granted this
@@ -93,7 +98,12 @@ class WeightedFairQueue:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        # runs on every dispatch: add the queues' depth counters
+        # directly rather than through a generator of len() calls
+        depth = 0
+        for queue in self._queues.values():
+            depth += queue._depth
+        return depth
 
     @property
     def depth(self) -> int:
@@ -123,16 +133,18 @@ class WeightedFairQueue:
         """Drain ``(tenant, query, reason)`` for every shed since last
         call, in tenant declaration order."""
         out: List[Tuple[str, QueuedQuery, str]] = []
-        for name in self._order:
-            for query, reason in self._queues[name].take_shed():
-                out.append((name, query, reason))
+        for name, queue in self._queues.items():
+            if queue._shed_log:
+                for query, reason in queue.take_shed():
+                    out.append((name, query, reason))
         return out
 
     # ------------------------------------------------------------------
     def _sweep(self, now: float) -> None:
-        """Run deadline expiry on every queue (so ``depth`` is honest
-        before the scheduler decides who is backlogged)."""
-        for queue in self._queues.values():
+        """Run deadline expiry on every deadline-policy queue (so
+        ``depth`` is honest before the scheduler decides who is
+        backlogged); other policies never expire anything."""
+        for queue in self._deadline_queues:
             queue._expire(now)
 
     def pop_batch(

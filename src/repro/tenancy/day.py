@@ -198,7 +198,10 @@ def run_production_day(
     with_fixed: Optional[DayResult] = None
     without: Optional[DayResult] = None
     if aggressor is not None and len(config.tenants) > 1:
-        solo_trace = generate_day(config, exclude=(aggressor,))
+        # surgical removal: the aggressor-free day is the full trace
+        # minus the aggressor's arrivals, byte for byte (see
+        # repro.tenancy.trace), so filter instead of regenerating
+        solo_trace = [a for a in trace if a.tenant != aggressor]
         if solo_trace:
             with_fixed = server.run(trace, autoscale=False)
             without = server.run(solo_trace, autoscale=False)

@@ -29,6 +29,7 @@ simulated day.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -63,6 +64,18 @@ DEADLINE_CLASSES: Dict[str, Dict[str, object]] = {
 KNOWN_APPS = ("reid", "mir", "estp", "tir", "textqa")
 
 
+def _require_finite(owner: str, fields: Dict[str, float]) -> None:
+    """Reject NaN/inf float fields with a ``ValueError`` naming the field.
+
+    The range checks below compare, and every comparison with NaN is
+    False, so NaN slips through them; an infinite rate would stall the
+    trace generator's thinning loop at one instant forever.
+    """
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BurstSpec:
     """One flash-crowd window inside a tenant's day.
@@ -79,6 +92,11 @@ class BurstSpec:
     multiplier: float = 4.0
 
     def __post_init__(self) -> None:
+        _require_finite("burst ", {
+            "start_fraction": self.start_fraction,
+            "duration_fraction": self.duration_fraction,
+            "multiplier": self.multiplier,
+        })
         if not 0.0 <= self.start_fraction < 1.0:
             raise ValueError("start_fraction must be in [0, 1)")
         if self.duration_fraction <= 0:
@@ -130,6 +148,15 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant needs a nonempty name")
+        _require_finite(f"tenant {self.name!r}: ", {
+            "weight": self.weight,
+            "base_qps": self.base_qps,
+            "amplitude": self.amplitude,
+            "phase": self.phase,
+            "zipf_alpha": self.zipf_alpha,
+            "write_fraction": self.write_fraction,
+            "ingest_key_alpha": self.ingest_key_alpha,
+        })
         if self.weight <= 0:
             raise ValueError(f"tenant {self.name!r}: weight must be positive")
         if self.base_qps <= 0:
@@ -150,6 +177,9 @@ class TenantSpec:
                     f"tenant {self.name!r}: unknown app {app!r}; "
                     f"expected one of {KNOWN_APPS}"
                 )
+            _require_finite(
+                f"tenant {self.name!r}: ", {f"apps[{app!r}]": fraction}
+            )
             if fraction <= 0:
                 raise ValueError(
                     f"tenant {self.name!r}: app fractions must be positive"
@@ -231,6 +261,11 @@ class ShardFailureSpec:
     heal_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite("failure ", {"at_fraction": self.at_fraction})
+        if self.heal_fraction is not None:
+            _require_finite(
+                "failure ", {"heal_fraction": self.heal_fraction}
+            )
         if self.shard < 0 or self.replica < 0:
             raise ValueError("shard and replica must be non-negative")
         if not 0.0 <= self.at_fraction < 1.0:
@@ -277,6 +312,12 @@ class TenancyConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
+        _require_finite("", {
+            "day_s": self.day_s,
+            "quantum": self.quantum,
+            "skew_threshold": self.skew_threshold,
+            "rebalance_row_seconds": self.rebalance_row_seconds,
+        })
         if self.day_s <= 0:
             raise ValueError("day_s must be positive")
         if self.features <= 0:

@@ -81,6 +81,13 @@ def _thinned_process(
     probability ``rate(t) / crest`` and, if kept, marked (app, kind,
     intent, key) from the **same** rng — one process, one domain, so
     the whole process vanishes cleanly when its window is removed.
+
+    Only the draws from ``rng`` itself happen per candidate.  The app
+    pick is one ``rng.random()`` searched in the normalised cumulative
+    mix — exactly what ``Generator.choice(p=...)`` does.  Intents and
+    keys come from two samplers that each own an rng, so one bulk
+    ``sample(n)`` per sampler after the loop yields the same doubles in
+    the same order as one ``sample(1)`` per arrival.
     """
     start, end = window
     envelope = scale * crest
@@ -88,7 +95,8 @@ def _thinned_process(
         return []
     apps = [app for app, _f in spec.apps]
     app_probs = np.array([f for _a, f in spec.apps], dtype=np.float64)
-    app_probs = app_probs / app_probs.sum()
+    app_cdf = (app_probs / app_probs.sum()).cumsum()
+    app_cdf /= app_cdf[-1]
     intent_sampler = ZipfSampler(
         spec.n_intents, spec.zipf_alpha,
         seed=int(rng.integers(0, 2**31 - 1)),
@@ -97,30 +105,42 @@ def _thinned_process(
         spec.ingest_key_universe, spec.ingest_key_alpha,
         seed=int(rng.integers(0, 2**31 - 1)),
     )
-    out: List[TenantArrival] = []
+    gap = 1.0 / envelope
+    exponential = rng.exponential
+    random = rng.random
+    write_fraction = spec.write_fraction
+    times: List[float] = []
+    is_write: List[bool] = []
+    app_draws: List[float] = []
     t = start
     while True:
-        t += float(rng.exponential(1.0 / envelope))
+        t += exponential(gap)
         if t >= end:
             break
-        accept = float(rng.random())
-        if accept * crest > diurnal_rate(spec, t, day_s):
+        if random() * crest > diurnal_rate(spec, t, day_s):
             continue
-        is_write = (
-            spec.write_fraction > 0.0
-            and float(rng.random()) < spec.write_fraction
-        )
-        if is_write:
+        write = write_fraction > 0.0 and random() < write_fraction
+        times.append(t)
+        is_write.append(write)
+        if not write:
+            app_draws.append(random())
+    keys = iter(key_sampler.sample(len(times) - len(app_draws)).tolist())
+    reads = iter(zip(
+        np.searchsorted(app_cdf, app_draws, side="right").tolist(),
+        intent_sampler.sample(len(app_draws)).tolist(),
+    ))
+    out: List[TenantArrival] = []
+    for t, write in zip(times, is_write):
+        if write:
             out.append(TenantArrival(
                 time_s=t, tenant=spec.name, app=apps[0], kind="ingest",
-                intent=-1, key=int(key_sampler.sample(1)[0]), burst=burst,
+                intent=-1, key=next(keys), burst=burst,
             ))
         else:
-            app = apps[int(rng.choice(len(apps), p=app_probs))]
+            app, intent = next(reads)
             out.append(TenantArrival(
-                time_s=t, tenant=spec.name, app=app, kind="query",
-                intent=int(intent_sampler.sample(1)[0]), key=-1,
-                burst=burst,
+                time_s=t, tenant=spec.name, app=apps[app], kind="query",
+                intent=intent, key=-1, burst=burst,
             ))
     return out
 

@@ -7,22 +7,35 @@ code whose production form in ``src/`` is tuned for host speed:
   objects directly in a ``heapq`` (python-level ``(time, seq)``
   comparisons) and runs by looping over ``peek`` and ``step``;
 * :func:`reference_scan_trace` decodes a scan one page at a time with
-  :meth:`SsdGeometry.ppn_to_address`.
+  :meth:`SsdGeometry.ppn_to_address`;
+* :func:`reference_thinned_process` generates a tenant's thinned
+  Poisson process one arrival at a time, with one ``rng.choice`` app
+  pick and one ``ZipfSampler.sample(1)`` intent or key per arrival;
+* :func:`reference_expire` sheds a deadline queue's over-age queries by
+  rebuilding every class deque on every call.
 
-They are deliberately slow and obvious.  ``tests/test_sim_fastpath.py``
-requires the production code to match them observable-for-observable.
+They are deliberately slow and obvious.  ``tests/test_sim_fastpath.py``,
+``tests/test_tenancy_trace.py`` and ``tests/test_tenancy_admission.py``
+require the production code to match them observable-for-observable.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterator, List, Optional, Sequence
+from collections import deque
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sim.engine import Event, SimulationError, _released_callback
 from repro.ssd.ftl import DatabaseMetadata
 from repro.ssd.geometry import SsdGeometry
+from repro.serving.admission import AdmissionQueue
 from repro.ssd.trace import PageAccess
+from repro.tenancy.spec import TenantSpec
+from repro.tenancy.trace import TenantArrival, diurnal_rate
+from repro.workloads.queries import ZipfSampler
 
 
 class ReferenceSimulator:
@@ -154,3 +167,78 @@ def reference_scan_trace(
         emitted += 1
         if max_pages is not None and emitted >= max_pages:
             return
+
+
+def reference_thinned_process(
+    spec: TenantSpec,
+    day_s: float,
+    crest: float,
+    window: Tuple[float, float],
+    scale: float,
+    rng: np.random.Generator,
+    burst: bool,
+) -> List[TenantArrival]:
+    """Drop-in for ``repro.tenancy.trace._thinned_process`` that marks
+    each accepted candidate as it goes: ``rng.choice`` for the app and
+    one ``sample(1)`` from the intent or key sampler."""
+    start, end = window
+    envelope = scale * crest
+    if envelope <= 0.0 or end <= start:
+        return []
+    apps = [app for app, _f in spec.apps]
+    app_probs = np.array([f for _a, f in spec.apps], dtype=np.float64)
+    app_probs = app_probs / app_probs.sum()
+    intent_sampler = ZipfSampler(
+        spec.n_intents, spec.zipf_alpha,
+        seed=int(rng.integers(0, 2**31 - 1)),
+    )
+    key_sampler = ZipfSampler(
+        spec.ingest_key_universe, spec.ingest_key_alpha,
+        seed=int(rng.integers(0, 2**31 - 1)),
+    )
+    out: List[TenantArrival] = []
+    t = start
+    while True:
+        t += float(rng.exponential(1.0 / envelope))
+        if t >= end:
+            break
+        accept = float(rng.random())
+        if accept * crest > diurnal_rate(spec, t, day_s):
+            continue
+        is_write = (
+            spec.write_fraction > 0.0
+            and float(rng.random()) < spec.write_fraction
+        )
+        if is_write:
+            out.append(TenantArrival(
+                time_s=t, tenant=spec.name, app=apps[0], kind="ingest",
+                intent=-1, key=int(key_sampler.sample(1)[0]), burst=burst,
+            ))
+        else:
+            app = apps[int(rng.choice(len(apps), p=app_probs))]
+            out.append(TenantArrival(
+                time_s=t, tenant=spec.name, app=app, kind="query",
+                intent=int(intent_sampler.sample(1)[0]), key=-1,
+                burst=burst,
+            ))
+    return out
+
+
+def reference_expire(queue: AdmissionQueue, now: float) -> None:
+    """Drop-in for ``AdmissionQueue._expire`` that rebuilds every class
+    deque on every call, whether or not anything expired."""
+    if queue.policy != "deadline":
+        return
+    assert queue.deadline_s is not None
+    for klass in queue._classes.values():
+        survivors = deque(
+            q for q in klass if now - q.arrival_s <= queue.deadline_s
+        )
+        if len(survivors) != len(klass):
+            for q in klass:
+                if now - q.arrival_s > queue.deadline_s:
+                    queue.counters.expired += 1
+                    queue._shed_log.append((q, "expired"))
+            queue._depth -= len(klass) - len(survivors)
+            klass.clear()
+            klass.extend(survivors)

@@ -322,6 +322,33 @@ class TestClusterServing:
         with pytest.raises(ValueError):
             table.saturation_qps(0)
 
+    @pytest.mark.parametrize("cluster", [
+        ClusterConfig(n_shards=3),
+        ClusterConfig(n_shards=4, n_replicas=2, straggler_spread=2.0,
+                      seed=1),
+        ClusterConfig(n_shards=4, n_replicas=2, fail_shards=((1, 1),)),
+        ClusterConfig(n_shards=3, placement="hash"),
+    ])
+    def test_precomputed_table_matches_leg_formula(self, tir_app, cluster):
+        meta = DatabaseMetadata(
+            db_id=0, feature_bytes=tir_app.feature_bytes,
+            feature_count=50_001,
+        )
+        model = ClusterBatchCostModel(
+            tir_app, meta, cluster=cluster, policy=BatchPolicy(max_batch=6),
+        )
+        for n in range(1, model.max_batch + 1):
+            barrier = max(
+                ladder + slow * table.service_seconds(n)
+                for slow, ladder, table in model._legs
+            )
+            assert model.service_seconds(n) == (
+                model.scatter_s + barrier + model.gather_s
+            )
+        for bad in (0, -1, model.max_batch + 1):
+            with pytest.raises(ValueError, match="outside"):
+                model.service_seconds(bad)
+
     def test_query_server_runs_over_sharded_backend(self):
         from repro.serving import poisson_arrivals
 

@@ -9,6 +9,7 @@ from repro.cluster import (
     locality_placement,
     make_placement,
     range_placement,
+    shard_sizes,
 )
 
 
@@ -111,3 +112,38 @@ class TestShardPlacement:
             hash_placement(10, 0)
         with pytest.raises(ValueError):
             locality_placement(10, 0)
+
+
+class TestShardSizes:
+    @pytest.mark.parametrize("strategy", ["range", "hash", "locality"])
+    @pytest.mark.parametrize("n_features,n_shards", [
+        (0, 3), (2, 5), (10, 3), (97, 4), (1000, 7),
+    ])
+    def test_equals_placement_lengths(self, strategy, n_features, n_shards):
+        for seed in (0, 3):
+            want = [
+                len(ids) for ids in make_placement(
+                    strategy, n_features, n_shards, seed=seed
+                ).owners
+            ]
+            assert shard_sizes(
+                strategy, n_features, n_shards, seed=seed
+            ) == want
+
+    def test_locality_with_embeddings(self):
+        features = np.random.default_rng(2).normal(0, 1, (120, 8))
+        want = make_placement("locality", 120, 4, features=features, seed=1)
+        assert shard_sizes(
+            "locality", 120, 4, features=features, seed=1
+        ) == [len(ids) for ids in want.owners]
+
+    @pytest.mark.parametrize("strategy", ["range", "hash", "locality"])
+    def test_invalid_arguments_rejected(self, strategy):
+        with pytest.raises(ValueError):
+            shard_sizes(strategy, -1, 2)
+        with pytest.raises(ValueError):
+            shard_sizes(strategy, 10, 0)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown placement"):
+            shard_sizes("nosuch", 10, 2)

@@ -43,7 +43,7 @@ from repro.obs import (
     cluster_critical_path,
 )
 from repro.serving import QueryServer, ServingConfig, poisson_arrivals
-from repro.workloads import get_app, train_scn
+from repro.workloads import get_app
 
 # ----------------------------------------------------------------------
 # strategies: one scatter scenario = per-shard replica plans plus the
@@ -272,7 +272,7 @@ class TestRealClusterAcceptance:
         dtrace = TraceCollector()
         cluster = _hardened_cluster()
         db = cluster.write_db(features)
-        model = cluster.load_graph(train_scn(app, seed=0))
+        model = cluster.load_graph(app.build_scn(seed=0))
         fleet = FleetAttribution()
         saw_failover = saw_hedge = False
         for _ in range(8):
@@ -307,7 +307,7 @@ class TestZeroOverheadParity:
         def day(dtrace=None):
             cluster = _hardened_cluster()
             db = cluster.write_db(features)
-            model = cluster.load_graph(train_scn(app, seed=0))
+            model = cluster.load_graph(app.build_scn(seed=0))
             return [
                 cluster.query(q, 5, model, db, dtrace=dtrace).to_dict()
                 for q in queries

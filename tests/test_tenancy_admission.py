@@ -19,6 +19,10 @@ Plus the single-tenant degeneracy check (the scheduler disappears) and
 the :class:`Autoscaler` decision-kernel unit tests.
 """
 
+import dataclasses
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +35,7 @@ from repro.tenancy.spec import (
     TenancyConfig,
     TenantSpec,
 )
+from tests.reference_impls import reference_expire
 
 
 def _q(qid, now, compat="tir", priority=0):
@@ -105,6 +110,23 @@ class TestWeightedFairQueueUnit:
         assert wfq.pop_batch(5.0, 4) == ("", [])
         assert wfq.counters("a").expired == 1
         assert wfq.conserved()
+
+
+    def test_sweep_runs_before_credit_is_granted(self):
+        # a deadline tenant whose whole backlog is stale is idle: the
+        # pre-dispatch sweep empties it, so it forfeits its credit
+        # instead of banking a visit's worth while nothing is served
+        wfq = WeightedFairQueue([
+            TenantQueueSpec("a", weight=0.5, policy="deadline",
+                            deadline_s=1.0),
+            TenantQueueSpec("b"),
+        ])
+        wfq.offer("a", _q(0, 0.0), 0.0)
+        wfq.offer("b", _q(1, 4.0), 4.0)
+        tenant, batch = wfq.pop_batch(5.0, 4)
+        assert (tenant, [q.qid for q in batch]) == ("b", [1])
+        assert wfq.counters("a").expired == 1
+        assert wfq.deficit_of("a") == 0.0
 
 
 class TestSingleTenantDegeneracy:
@@ -201,6 +223,66 @@ def test_per_tenant_conservation_under_interleaving(
         assert row["admitted"] == (
             row["popped"] + row["evicted"] + row["expired"] + row["depth"]
         )
+
+
+#: queue offsets on a quarter-second grid so sojourns land exactly on
+#: the 1.5 s deadline too; negative offsets are arrivals stamped after
+#: the current clock, so arrival order within a class is not monotone
+expire_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("offer"),
+            st.sampled_from([-0.5, 0.0, 0.25, 1.0, 1.5, 1.75, 3.0]),
+            st.integers(min_value=0, max_value=2),
+        ),
+        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.25, 0.5, 1.5]),
+                  st.just(0)),
+        st.tuples(st.just("expire"), st.just(0.0), st.just(0)),
+        st.tuples(st.just("pop"), st.integers(min_value=1, max_value=3),
+                  st.just(0)),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def _queue_state(queue):
+    """Counters, per-class FIFO contents and live depth of a queue."""
+    return (
+        dataclasses.asdict(queue.counters),
+        {p: [q.qid for q in d] for p, d in queue._classes.items()},
+        len(queue),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=expire_ops, bound=st.integers(min_value=1, max_value=8))
+def test_expire_early_return_matches_reference_rebuild(ops, bound):
+    fast = AdmissionQueue(bound, "deadline", deadline_s=1.5)
+    ref = AdmissionQueue(bound, "deadline", deadline_s=1.5)
+    # every internal sweep of ``ref`` (offer, pop) takes the rebuild
+    ref._expire = functools.partial(reference_expire, ref)
+    now = 0.0
+    for i, (kind, value, priority) in enumerate(ops):
+        if kind == "offer":
+            query = QueuedQuery(qid=i, arrival_s=now - value,
+                                priority=priority)
+            assert fast.offer(query, now) == ref.offer(query, now)
+        elif kind == "tick":
+            now += value
+        elif kind == "expire":
+            fast._expire(now)
+            ref._expire(now)
+        else:
+            assert (
+                [q.qid for q in fast.pop_batch(now, value)]
+                == [q.qid for q in ref.pop_batch(now, value)]
+            )
+        assert _queue_state(fast) == _queue_state(ref)
+        # same sheds, same reasons, same order
+        assert [(q.qid, why) for q, why in fast.take_shed()] == [
+            (q.qid, why) for q, why in ref.take_shed()
+        ]
+        assert fast.counters.conserved(len(fast))
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,6 +469,43 @@ class TestSpecValidation:
             )
         with pytest.raises(ValueError, match="heal_fraction"):
             ShardFailureSpec(at_fraction=0.5, heal_fraction=0.4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field,build", [
+        ("weight", lambda v: TenantSpec(name="t", weight=v)),
+        ("base_qps", lambda v: TenantSpec(name="t", base_qps=v)),
+        ("amplitude", lambda v: TenantSpec(name="t", amplitude=v)),
+        ("phase", lambda v: TenantSpec(name="t", phase=v)),
+        ("apps['tir']", lambda v: TenantSpec(
+            name="t", apps=(("mir", 0.5), ("tir", v)))),
+        ("zipf_alpha", lambda v: TenantSpec(name="t", zipf_alpha=v)),
+        ("write_fraction", lambda v: TenantSpec(name="t",
+                                                write_fraction=v)),
+        ("ingest_key_alpha", lambda v: TenantSpec(name="t",
+                                                  ingest_key_alpha=v)),
+        ("start_fraction", lambda v: BurstSpec(
+            start_fraction=v, duration_fraction=0.1)),
+        ("duration_fraction", lambda v: BurstSpec(
+            start_fraction=0.1, duration_fraction=v)),
+        ("multiplier", lambda v: BurstSpec(
+            start_fraction=0.1, duration_fraction=0.1, multiplier=v)),
+        ("at_fraction", lambda v: ShardFailureSpec(at_fraction=v)),
+        ("heal_fraction", lambda v: ShardFailureSpec(heal_fraction=v)),
+        ("day_s", lambda v: TenancyConfig(
+            tenants=(TenantSpec(name="t"),), day_s=v)),
+        ("quantum", lambda v: TenancyConfig(
+            tenants=(TenantSpec(name="t"),), quantum=v)),
+        ("skew_threshold", lambda v: TenancyConfig(
+            tenants=(TenantSpec(name="t"),), skew_threshold=v)),
+        ("rebalance_row_seconds", lambda v: TenancyConfig(
+            tenants=(TenantSpec(name="t"),), rebalance_row_seconds=v)),
+    ])
+    def test_non_finite_float_rejected(self, field, build, value):
+        # construction only: a spec like this must never reach the
+        # trace generator, whose thinning loop would never advance
+        with pytest.raises(ValueError) as excinfo:
+            build(value)
+        assert f"{field} must be finite" in str(excinfo.value)
 
     def test_deadline_class_presets(self):
         interactive = TenantSpec(name="t", deadline_class="interactive")

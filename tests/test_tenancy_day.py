@@ -12,6 +12,8 @@ reacting to a scripted overload, and the JSON scorecard shape the perf
 gate consumes.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.serving.arrivals import ArrivalEvent
@@ -124,6 +126,14 @@ class TestProductionDay:
         ingest = day.tenants["ingestpipe"]
         assert ingest.writes_offered > 0
         assert ingest.writes_completed > 0
+
+    def test_isolation_run_equals_regenerated_solo_trace(self, report):
+        # the isolation side filters the full trace; replaying a trace
+        # regenerated without the aggressor must give the same day
+        config = report.config
+        solo = generate_day(config, exclude=(report.aggressor,))
+        replay = MultiTenantServer(config).run(solo, autoscale=False)
+        assert replay == report.without_aggressor
 
     def test_isolation_pair_present_and_directional(self, report):
         assert report.aggressor == "search"
@@ -275,3 +285,17 @@ class TestScorecardFragment:
         assert all(
             isinstance(v, (int, float, str)) for v in leaves.values()
         )
+
+
+def test_server_init_prices_shards_from_sizes_only():
+    # the production day's cost models (32M features, 4 shards, two
+    # apps, healthy and degraded twins) once held a 256 MB id array
+    # each; pricing needs only the shard sizes
+    config = default_production_config()
+    tracemalloc.start()
+    try:
+        MultiTenantServer(config)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

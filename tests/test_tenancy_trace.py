@@ -11,10 +11,12 @@ contention, not a reroll).
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.tenancy.spec import BurstSpec, TenancyConfig, TenantSpec
+from repro.tenancy import trace as trace_module
+from repro.tenancy.spec import KNOWN_APPS, BurstSpec, TenancyConfig, TenantSpec
 from repro.tenancy.trace import (
     aggressor_of,
     diurnal_rate,
@@ -23,6 +25,7 @@ from repro.tenancy.trace import (
     peak_window_qps,
     tenant_day,
 )
+from tests.reference_impls import reference_thinned_process
 
 DAY_S = 4000.0
 
@@ -109,6 +112,60 @@ def test_tenant_exclusion_is_surgical(seed, other_seed):
         TenancyConfig(tenants=cfg.tenants, day_s=DAY_S, seed=other_seed)
     )
     assert reseeded != full
+
+
+def _normalised(weights):
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+#: 1-3 distinct apps with fractions that sum to 1 (within 1e-9)
+app_mixes = st.lists(
+    st.sampled_from(KNOWN_APPS), min_size=1, max_size=3, unique=True,
+).flatmap(lambda apps: st.lists(
+    st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
+    min_size=len(apps), max_size=len(apps),
+).map(lambda weights: tuple(zip(apps, _normalised(weights)))))
+
+burst_specs = st.builds(
+    BurstSpec,
+    start_fraction=st.floats(min_value=0.05, max_value=0.5,
+                             allow_nan=False),
+    duration_fraction=st.floats(min_value=0.02, max_value=0.2,
+                                allow_nan=False),
+    multiplier=st.floats(min_value=1.5, max_value=6.0, allow_nan=False),
+)
+
+oracle_specs = st.builds(
+    TenantSpec,
+    name=st.just("t"),
+    base_qps=st.floats(min_value=0.01, max_value=0.3, allow_nan=False),
+    amplitude=st.floats(min_value=0.0, max_value=0.95, allow_nan=False),
+    phase=st.floats(min_value=0.0, max_value=0.99, allow_nan=False),
+    apps=app_mixes,
+    zipf_alpha=st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
+    n_intents=st.integers(min_value=1, max_value=64),
+    write_fraction=st.sampled_from([0.0, 0.3, 0.8]),
+    ingest_key_alpha=st.floats(min_value=0.0, max_value=1.5,
+                               allow_nan=False),
+    ingest_key_universe=st.integers(min_value=1, max_value=4096),
+    bursts=st.lists(burst_specs, max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=oracle_specs,
+       tenant_index=st.integers(min_value=0, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_tenant_day_matches_per_arrival_oracle(spec, tenant_index, seed):
+    # the bulk-draw generator must reproduce the per-arrival one field
+    # for field: same times, kinds, apps, intents and keys
+    got = tenant_day(spec, tenant_index, DAY_S, seed)
+    with mock.patch.object(
+        trace_module, "_thinned_process", reference_thinned_process
+    ):
+        want = tenant_day(spec, tenant_index, DAY_S, seed)
+    assert got == want
 
 
 def test_diurnal_rate_shape():
